@@ -7,7 +7,8 @@ and the whole run rides the fused kernel's trusted full-broadcast fast
 path.  Two claims are asserted (a regression fails the run):
 
 * the fused lane (:func:`execute_vectorized`) beats the frozen
-  pre-fusion loop (:func:`execute_vectorized_reference`) by >= 3x at
+  pre-fusion loop (:func:`execute_vectorized_reference`, frozen in
+  ``vectorized_reference.py`` next to this file) by >= 3x at
   ``n >= 65536``, while staying bit-identical (decision, rounds, ledger
   aggregates);
 * wall-clock grows roughly linearly in ``n`` (edges scale with ``n``
@@ -27,11 +28,9 @@ from conftest import print_table
 from emit import emit
 from repro.congest.kernels import backend_available
 from repro.congest.network import CongestNetwork
-from repro.congest.vectorized import (
-    execute_vectorized,
-    execute_vectorized_reference,
-)
+from repro.congest.vectorized import execute_vectorized
 from repro.core.broadcast_accumulate import VectorizedBroadcastAccumulate
+from vectorized_reference import execute_vectorized_reference
 
 NS = [4096, 16384, 65536, 131072]
 ROUNDS = 8

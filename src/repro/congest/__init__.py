@@ -43,7 +43,6 @@ from .vectorized import (
     VecRun,
     VectorizedAlgorithm,
     execute_vectorized,
-    execute_vectorized_reference,
 )
 
 __all__ = [
@@ -99,5 +98,4 @@ __all__ = [
     "VecRun",
     "VectorizedAlgorithm",
     "execute_vectorized",
-    "execute_vectorized_reference",
 ]

@@ -1,7 +1,7 @@
 """Fused per-round kernels for the vectorized execution lane.
 
-The pre-fusion vectorized round loop (kept verbatim as
-:func:`repro.congest.vectorized.execute_vectorized_reference`) paid three
+The pre-fusion vectorized round loop (kept verbatim, as the benchmark
+baseline, in ``benchmarks/vectorized_reference.py``) paid three
 avoidable costs per round on its way from an outbox to an inbox:
 
 * an ``O(E log E)`` stable ``argsort`` of the outbox edge list just to

@@ -39,17 +39,23 @@ makes ``ExecutionResult.rounds == CommMetrics.rounds`` exactly.
 
 Fast path
 ---------
-Adjacency sets and sorted neighbor tuples are precomputed once per
-:class:`CongestNetwork`, so per-message send validation and per-run context
-construction never touch networkx.  ``run(..., metrics="lite")`` keeps the
-aggregate bit counters but skips the per-edge metric dictionaries (see
-:mod:`repro.congest.metrics` for the exact contract); lower-bound harnesses
-must keep the default ``metrics="full"``.
+Construction maps the graph's adjacency through the identifier assignment
+straight into the CSR :class:`~repro.congest.vectorized.EdgeIndex` --
+a few array passes, no relabelled networkx copy and no per-node
+dictionaries.  The object lane's structures (the relabelled ``graph``,
+the adjacency sets used for send validation and the sorted neighbor
+tuples used for context construction) are materialised from that index on
+first use and then cached, so repeated runs on the same network never
+query networkx again and purely vectorized runs never build them at all.
+``run(..., metrics="lite")`` keeps the aggregate bit counters but skips
+the per-edge metric dictionaries (see :mod:`repro.congest.metrics` for the
+exact contract); lower-bound harnesses must keep the default
+``metrics="full"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -60,6 +66,7 @@ from .algorithm import Algorithm, Decision, NodeContext
 from .identifiers import canonical_assignment
 from .message import BandwidthExceeded, Message
 from .metrics import METRIC_MODES, CommMetrics
+from .vectorized import EdgeIndex
 
 __all__ = ["CongestNetwork", "ExecutionResult", "run_congest"]
 
@@ -67,7 +74,6 @@ __all__ = ["CongestNetwork", "ExecutionResult", "run_congest"]
 _EMPTY_INBOX: Mapping[int, Message] = MappingProxyType({})
 
 
-@dataclass
 class ExecutionResult:
     """Outcome of one simulator run.
 
@@ -75,13 +81,47 @@ class ExecutionResult:
     otherwise ACCEPT.  ``rounds`` counts billable communication rounds (all
     executed rounds except a terminal silent quiescence probe -- see the
     module docstring).  ``metrics`` holds the exact bit accounting.
+
+    ``node_decisions`` and ``contexts`` are keyed by identifier in
+    ascending order.  The object lane passes them in; the vectorized lane
+    passes ``columns`` instead (its per-node outputs kept as arrays, see
+    :class:`~repro.congest.vectorized.VecColumns`) and both dictionaries
+    are synthesised from them on first access.  :meth:`rejecting_nodes`
+    and :meth:`context_of` never force the full dictionaries.
     """
 
-    decision: Decision
-    rounds: int
-    metrics: CommMetrics
-    node_decisions: Dict[int, Decision]
-    contexts: Dict[int, NodeContext]
+    def __init__(
+        self,
+        decision: Decision,
+        rounds: int,
+        metrics: CommMetrics,
+        node_decisions: Optional[Dict[int, Decision]] = None,
+        contexts: Optional[Dict[int, NodeContext]] = None,
+        columns: Any = None,
+    ) -> None:
+        if columns is None and (node_decisions is None or contexts is None):
+            raise ValueError("need node_decisions and contexts, or columns")
+        self.decision = decision
+        self.rounds = rounds
+        self.metrics = metrics
+        self._node_decisions = node_decisions
+        self._contexts = contexts
+        self._columns = columns
+
+    def __repr__(self) -> str:
+        return f"ExecutionResult(decision={self.decision}, rounds={self.rounds})"
+
+    @property
+    def node_decisions(self) -> Dict[int, Decision]:
+        if self._node_decisions is None:
+            self._node_decisions = self._columns.node_decisions()
+        return self._node_decisions
+
+    @property
+    def contexts(self) -> Dict[int, NodeContext]:
+        if self._contexts is None:
+            self._contexts = self._columns.contexts()
+        return self._contexts
 
     @property
     def rejected(self) -> bool:
@@ -92,9 +132,17 @@ class ExecutionResult:
         return self.decision is Decision.ACCEPT
 
     def rejecting_nodes(self) -> Tuple[int, ...]:
+        if self._columns is not None:
+            return self._columns.rejecting_nodes()
         return tuple(
             sorted(u for u, d in self.node_decisions.items() if d is Decision.REJECT)
         )
+
+    def context_of(self, u: int) -> NodeContext:
+        """Node ``u``'s final context, without building every other one."""
+        if self._contexts is None:
+            return self._columns.context(u)
+        return self._contexts[u]
 
 
 class CongestNetwork:
@@ -146,35 +194,17 @@ class CongestNetwork:
         self.original_graph = graph
         self.assignment: Dict[Hashable, int] = dict(assignment)
         self.vertex_of: Dict[int, Hashable] = {i: v for v, i in assignment.items()}
-        self.graph: nx.Graph = nx.relabel_nodes(graph, self.assignment, copy=True)
-        self.bandwidth = bandwidth
-        self.n = graph.number_of_nodes()
-        self.namespace_size = (
-            namespace_size if namespace_size is not None else max(max(ids) + 1, self.n)
-        )
-        self.knows_n = knows_n
         self.inputs = {
             self.assignment[v]: inp for v, inp in (inputs or {}).items()
         }
-        # Fast-path precomputation: adjacency sets for send validation and
-        # sorted neighbor tuples for context construction, built once so the
-        # round loop (and repeated runs on the same network) never query
-        # networkx again.
-        self._node_ids: Tuple[int, ...] = tuple(sorted(self.graph.nodes()))
-        self._adj: Dict[int, frozenset] = {
-            u: frozenset(self.graph[u]) for u in self._node_ids
-        }
-        self._neighbor_tuples: Dict[int, Tuple[int, ...]] = {
-            u: tuple(sorted(self._adj[u])) for u in self._node_ids
-        }
-        # CSR edge index for the vectorized lane, built lazily on first use
-        # and shared (read-only) by every vectorized run on this network.
-        self._edge_index_cache: Optional["EdgeIndex"] = None
+        self._adopt(
+            _edge_index_of(graph, self.assignment), bandwidth, namespace_size, knows_n
+        )
 
     @classmethod
     def from_csr(
         cls,
-        edge_index: "EdgeIndex",
+        edge_index: EdgeIndex,
         bandwidth: Optional[int],
         *,
         namespace_size: Optional[int] = None,
@@ -186,20 +216,32 @@ class CongestNetwork:
         so amplification workers wrap the parent's exported arrays without
         re-deriving anything from a networkx graph.  Identifiers are the
         index's ``ids`` with the identity assignment; private ``inputs``
-        are not supported (they never ride shared memory).  The
-        object-lane structures (``graph``, ``_adj``, ``_neighbor_tuples``)
-        materialize lazily on first use -- see :meth:`__getattr__` -- so
-        purely vectorized runs only ever pay for the neighbor tuples the
-        final contexts need.
+        are not supported (they never ride shared memory).
         """
-        grid = edge_index
-        if grid.n == 0:
+        if edge_index.n == 0:
             raise ValueError("cannot simulate an empty network")
         self = object.__new__(cls)
-        identity = {int(u): int(u) for u in grid.ids}
+        identity = {u: u for u in edge_index.ids.tolist()}
         self.original_graph = None
         self.assignment = identity
         self.vertex_of = dict(identity)
+        self.inputs = {}
+        self._adopt(edge_index, bandwidth, namespace_size, knows_n)
+        return self
+
+    def _adopt(
+        self,
+        grid: EdgeIndex,
+        bandwidth: Optional[int],
+        namespace_size: Optional[int],
+        knows_n: bool,
+    ) -> None:
+        """Install ``grid`` as the network's topology (both constructors).
+
+        The object-lane structures (``graph``, ``_adj``,
+        ``_neighbor_tuples``) are left unset: :meth:`__getattr__` derives
+        them from the index on first use.
+        """
         self.bandwidth = bandwidth
         self.n = grid.n
         self.namespace_size = (
@@ -208,25 +250,22 @@ class CongestNetwork:
             else max(int(grid.ids[-1]) + 1, grid.n)
         )
         self.knows_n = knows_n
-        self.inputs = {}
-        self._node_ids = tuple(identity)
-        self._edge_index_cache = grid
-        return self
+        self._node_ids: Tuple[int, ...] = tuple(grid.ids.tolist())
+        self._grid = grid
 
     def __getattr__(self, name: str) -> Any:
-        # Lazy object-lane structures for from_csr networks; regular
-        # construction sets all of these eagerly in __init__, so this
-        # only fires on CSR-built instances (or truly missing names).
+        # Lazy object-lane structures, derived from the CSR index on first
+        # use and cached as plain attributes (so this fires once per name).
         if name in ("_neighbor_tuples", "_adj", "graph"):
-            grid = self.__dict__.get("_edge_index_cache")
+            grid = self.__dict__.get("_grid")
             if grid is None:
                 raise AttributeError(name)
             if name == "_neighbor_tuples":
                 out_ptr = grid.out_ptr.tolist()
                 dst_ids = grid.ids[grid.dst].tolist()
                 value: Any = {
-                    int(u): tuple(dst_ids[out_ptr[p] : out_ptr[p + 1]])
-                    for p, u in enumerate(grid.ids.tolist())
+                    u: tuple(dst_ids[out_ptr[p] : out_ptr[p + 1]])
+                    for p, u in enumerate(self._node_ids)
                 }
             elif name == "_adj":
                 value = {
@@ -237,7 +276,9 @@ class CongestNetwork:
                 value.add_nodes_from(self._node_ids)
                 src_ids = grid.ids[grid.src]
                 dst_ids = grid.ids[grid.dst]
-                fwd = src_ids < dst_ids
+                # Each undirected edge once; a self-loop is a single
+                # directed edge with src == dst.
+                fwd = src_ids <= dst_ids
                 value.add_edges_from(
                     zip(src_ids[fwd].tolist(), dst_ids[fwd].tolist())
                 )
@@ -247,13 +288,9 @@ class CongestNetwork:
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    def edge_index(self) -> "EdgeIndex":
+    def edge_index(self) -> EdgeIndex:
         """The network's read-only CSR edge index (vectorized lane)."""
-        if self._edge_index_cache is None:
-            from .vectorized import EdgeIndex
-
-            self._edge_index_cache = EdgeIndex(self._node_ids, self._neighbor_tuples)
-        return self._edge_index_cache
+        return self._grid
 
     # ------------------------------------------------------------------
     def run(
@@ -558,6 +595,32 @@ class CongestNetwork:
         if probe is None:
             return False
         return all(ctx._halted or probe(ctx) for ctx in contexts.values())
+
+
+def _edge_index_of(graph: nx.Graph, assignment: Mapping[Hashable, int]) -> EdgeIndex:
+    """The CSR index of ``graph`` under ``assignment``, straight from its
+    adjacency.
+
+    Iterating every vertex's neighbors yields each edge in both directions
+    and a self-loop once, i.e. exactly the directed edges.  Endpoints are
+    mapped to identifiers in that one pass, to positions by
+    ``searchsorted`` into the sorted identifiers, then put in out order.
+    """
+    ident = assignment.__getitem__
+    adjacency = dict(graph.adjacency())
+    n = len(adjacency)
+    deg = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
+    owner = np.fromiter(map(ident, adjacency), dtype=np.int64, count=n)
+    nbr = np.fromiter(
+        map(ident, chain.from_iterable(adjacency.values())),
+        dtype=np.int64,
+        count=int(deg.sum()),
+    )
+    ids = np.sort(owner)
+    src = np.repeat(np.searchsorted(ids, owner), deg)
+    dst = np.searchsorted(ids, nbr)
+    order = np.lexsort((dst, src))
+    return EdgeIndex.from_arrays(ids, src[order], dst[order])
 
 
 def _build_injector(faults: Any, seed: Optional[int]) -> Optional[Any]:

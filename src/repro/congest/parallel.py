@@ -82,7 +82,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from .algorithm import Algorithm, Decision
+from .algorithm import Algorithm
 from .network import CongestNetwork, ExecutionResult
 from .sanitizer import check_pool_crossing
 
@@ -253,11 +253,10 @@ class AmplifiedOutcome:
 
 
 def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
-    witnesses = tuple(
-        ctx.state.get("witness")
-        for ctx in res.contexts.values()
-        if ctx.decision is Decision.REJECT
-    )
+    # Only the rejecting nodes' contexts are read, so a vectorized result
+    # synthesises those and no others.
+    rejecting = res.rejecting_nodes()
+    witnesses = tuple(res.context_of(u).state.get("witness") for u in rejecting)
     m = res.metrics
     return IterationOutcome(
         index=index,
@@ -267,7 +266,7 @@ def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
         total_messages=m.total_messages,
         max_message_bits=m.max_message_bits,
         witnesses=witnesses,
-        rejecting_nodes=res.rejecting_nodes(),
+        rejecting_nodes=rejecting,
     )
 
 

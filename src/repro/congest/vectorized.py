@@ -51,12 +51,11 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .algorithm import Decision
+from .algorithm import Decision, NodeContext
 from .kernels import KernelProfile, RoundKernel, resolve_backend
 from .message import BandwidthExceeded
 from .metrics import METRIC_MODES, CommMetrics
@@ -68,7 +67,7 @@ __all__ = [
     "VecRun",
     "VectorizedAlgorithm",
     "execute_vectorized",
-    "execute_vectorized_reference",
+    "VecColumns",
     "VEC_UNDECIDED",
     "VEC_ACCEPT",
     "VEC_REJECT",
@@ -100,7 +99,7 @@ class EdgeIndex:
     """Read-only CSR-style index of a network's directed edges.
 
     Built once per :class:`~repro.congest.network.CongestNetwork` (see
-    :meth:`CongestNetwork.edge_index`) and shared by every vectorized run
+    :meth:`from_arrays`) and shared by every vectorized run
     on that network.  All arrays are flagged read-only so that sharing
     them across runs -- and handing them to kernels -- can never become a
     covert channel (the sanitizer's :class:`AliasGuard` exempts
@@ -142,30 +141,6 @@ class EdgeIndex:
         "_all_edges",
     )
 
-    def __init__(
-        self,
-        node_ids: Sequence[int],
-        neighbor_tuples: Dict[int, Tuple[int, ...]],
-    ) -> None:
-        ids = np.asarray(node_ids, dtype=np.int64)
-        n = ids.shape[0]
-        deg = np.fromiter(
-            (len(neighbor_tuples[int(u)]) for u in ids), dtype=np.int64, count=n
-        )
-        e = int(deg.sum())
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        nbr_ids = np.fromiter(
-            chain.from_iterable(neighbor_tuples[int(u)] for u in ids),
-            dtype=np.int64,
-            count=e,
-        )
-        # Every neighbor identifier is a node identifier, so searchsorted
-        # against the sorted id array is the id -> position map.
-        dst = np.searchsorted(ids, nbr_ids)
-        # node_ids and each neighbor tuple are sorted ascending, so (src,
-        # dst) is already in lexicographic out order.
-        self._finalize(ids, src, dst, deg=deg)
-
     @classmethod
     def from_arrays(
         cls,
@@ -180,41 +155,18 @@ class EdgeIndex:
         in_recv: Optional[np.ndarray] = None,
         in_send: Optional[np.ndarray] = None,
     ) -> "EdgeIndex":
-        """Build an index directly from CSR arrays.
+        """Build an index from its CSR arrays.
 
-        The shared-memory attach path (:mod:`repro.congest.shm`) uses this
-        to wrap a worker's zero-copy views of the parent's arrays; any
-        derived array not supplied is recomputed.  ``src``/``dst`` must be
-        in lexicographic out order and ``ids`` ascending -- exactly what
-        a regular construction produces.
+        ``ids`` must be ascending and ``src``/``dst`` in lexicographic out
+        order.  :class:`~repro.congest.network.CongestNetwork` builds its
+        index this way straight from the graph; the shared-memory attach
+        path (:mod:`repro.congest.shm`) wraps a worker's zero-copy views
+        of the parent's arrays.  Any derived array not supplied is
+        recomputed.
         """
-        self = object.__new__(cls)
-        self._finalize(
-            np.asarray(ids, dtype=np.int64),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            deg=deg,
-            out_ptr=out_ptr,
-            in_rank=in_rank,
-            in_order=in_order,
-            in_recv=in_recv,
-            in_send=in_send,
-        )
-        return self
-
-    def _finalize(
-        self,
-        ids: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        *,
-        deg: Optional[np.ndarray] = None,
-        out_ptr: Optional[np.ndarray] = None,
-        in_rank: Optional[np.ndarray] = None,
-        in_order: Optional[np.ndarray] = None,
-        in_recv: Optional[np.ndarray] = None,
-        in_send: Optional[np.ndarray] = None,
-    ) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
         n = ids.shape[0]
         e = int(src.shape[0])
         if deg is None:
@@ -247,6 +199,7 @@ class EdgeIndex:
             all_edges,
         ):
             arr.setflags(write=False)
+        self = object.__new__(cls)
         self.n = int(n)
         self.num_directed = e
         self.ids = ids
@@ -259,6 +212,7 @@ class EdgeIndex:
         self.in_recv = in_recv
         self.in_send = in_send
         self._all_edges = all_edges
+        return self
 
     # ------------------------------------------------------------------
     def pos_of(self, identifiers: np.ndarray) -> np.ndarray:
@@ -493,13 +447,13 @@ def execute_vectorized(
     The per-round validate -> bill -> deliver sequence runs on a fused
     :class:`~repro.congest.kernels.RoundKernel` (``backend`` selects its
     primitive implementation; ``None``/``"numpy"`` is the reference).
-    :func:`execute_vectorized_reference` is the frozen pre-fusion loop the
-    differential suites and benchmarks compare against.  ``profile``
-    (a :class:`~repro.congest.kernels.KernelProfile`, opt-in) accumulates
-    per-phase wall-clock for the run; ``None`` keeps the loop timer-free.
+    The frozen pre-fusion loop the differential suites and benchmarks
+    compare against lives in ``benchmarks/vectorized_reference.py``.
+    ``profile`` (a :class:`~repro.congest.kernels.KernelProfile`, opt-in)
+    accumulates per-phase wall-clock for the run; ``None`` keeps the loop
+    timer-free.
     """
     from .network import ExecutionResult  # local import: network imports us
-    from .algorithm import NodeContext
 
     if metrics not in METRIC_MODES:
         raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
@@ -632,12 +586,99 @@ def execute_vectorized(
         run.decision[crash_halted] = frozen_decision[crash_halted]
         run.halted |= crash_halted
 
-    contexts: Dict[int, NodeContext] = {}
-    decisions: Dict[int, Decision] = {}
-    lazy_rngs = rngs if isinstance(rngs, _LazyRngs) else None
-    for p in range(n):
-        u = int(grid.ids[p])
-        d = _DECISION_OF_CODE[int(run.decision[p])]
+    columns = VecColumns(net, algorithm, run, state, max(rounds_run - 1, 0))
+    # Contexts are synthesised eagerly only for an observer (the
+    # sanitizer audits them); everyone else gets them on first access.
+    contexts = None
+    if observer is not None:
+        contexts = columns.contexts()
+        observer.vec_after_finish(contexts)
+
+    # Lazy full-mode expansion: the kernel's flat accumulators become the
+    # per-edge / per-node dictionaries only now, once, instead of 2m dict
+    # updates per round.  No-op under lite metrics.
+    kernel.expand_full_ledger()
+
+    return ExecutionResult(
+        decision=(
+            Decision.REJECT if columns.rejecting_pos.shape[0] else Decision.ACCEPT
+        ),
+        rounds=rounds_run,
+        metrics=comm,
+        contexts=contexts,
+        columns=columns,
+    )
+
+
+class VecColumns:
+    """A vectorized run's per-node outputs, kept as arrays.
+
+    The result of a vectorized run is columnar: the final decisions stay
+    an int8 array and each :class:`~repro.congest.algorithm.NodeContext`
+    is synthesised only when somebody asks for it -- all of them for
+    ``ExecutionResult.contexts`` (the sanitizer, full-result callers),
+    just the rejecting ones for amplification's witness summary, none for
+    a caller that reads the decision and the bit totals.  A synthesised
+    context is exactly what an eager build would have produced: same
+    fields, same ``node_state`` snapshot, and a generator only where the
+    kernel touched one.
+    """
+
+    __slots__ = ("_net", "_algorithm", "_run", "_state", "_round", "_made",
+                 "decision", "rejecting_pos")
+
+    def __init__(
+        self,
+        net: Any,
+        algorithm: VectorizedAlgorithm,
+        run: VecRun,
+        state: Dict[str, Any],
+        final_round: int,
+    ) -> None:
+        raw = np.asarray(run.decision)
+        bad = (raw < VEC_UNDECIDED) | (raw > VEC_REJECT)
+        if bad.any():
+            raise KeyError(int(raw[np.argmax(bad)]))
+        decision = raw.astype(np.int8, copy=False)
+        self._net = net
+        self._algorithm = algorithm
+        self._run = run
+        self._state = state
+        self._round = final_round
+        self._made: Dict[int, NodeContext] = {}
+        self.decision = decision
+        self.rejecting_pos = np.flatnonzero(decision == VEC_REJECT)
+
+    def rejecting_nodes(self) -> Tuple[int, ...]:
+        return tuple(self._run.grid.ids[self.rejecting_pos].tolist())
+
+    def node_decisions(self) -> Dict[int, Decision]:
+        return dict(
+            zip(
+                self._run.grid.ids.tolist(),
+                map(_DECISION_OF_CODE.__getitem__, self.decision.tolist()),
+            )
+        )
+
+    def context(self, u: int) -> NodeContext:
+        ids = self._run.grid.ids
+        p = int(np.searchsorted(ids, u))
+        if p == ids.shape[0] or int(ids[p]) != u:
+            raise KeyError(u)
+        return self._context(p, u)
+
+    def contexts(self) -> Dict[int, NodeContext]:
+        return {
+            u: self._context(p, u)
+            for p, u in enumerate(self._run.grid.ids.tolist())
+        }
+
+    def _context(self, p: int, u: int) -> NodeContext:
+        ctx = self._made.get(u)
+        if ctx is not None:
+            return ctx
+        net, run = self._net, self._run
+        rngs = run.rngs
         ctx = NodeContext(
             id=u,
             neighbors=net._neighbor_tuples[u],
@@ -646,283 +687,14 @@ def execute_vectorized(
             bandwidth=net.bandwidth,
             input=net.inputs.get(u),
             # Only generators the kernel actually touched ride into the
-            # synthesized contexts; spawning n untouched ones here would
+            # synthesized contexts; spawning untouched ones here would
             # undo the lazy win.  (node.rng is only ever *used* during
             # object-lane execution.)
-            rng=lazy_rngs.materialized(p) if lazy_rngs is not None else rngs[p],
-            state=dict(algorithm.node_state(run, state, p)),
-            round=max(rounds_run - 1, 0),
-            decision=d,
+            rng=rngs.materialized(p) if isinstance(rngs, _LazyRngs) else rngs[p],
+            state=dict(self._algorithm.node_state(run, self._state, p)),
+            round=self._round,
+            decision=_DECISION_OF_CODE[int(self.decision[p])],
         )
         ctx._halted = bool(run.halted[p])
-        contexts[u] = ctx
-        decisions[u] = d
-    if observer is not None:
-        observer.vec_after_finish(contexts)
-
-    # Lazy full-mode expansion: the kernel's flat accumulators become the
-    # per-edge / per-node dictionaries only now, once, instead of 2m dict
-    # updates per round.  No-op under lite metrics.
-    kernel.expand_full_ledger()
-
-    if any(d is Decision.REJECT for d in decisions.values()):
-        global_decision = Decision.REJECT
-    else:
-        global_decision = Decision.ACCEPT
-    return ExecutionResult(
-        decision=global_decision,
-        rounds=rounds_run,
-        metrics=comm,
-        node_decisions=decisions,
-        contexts=contexts,
-    )
-
-
-def execute_vectorized_reference(
-    net: Any,
-    algorithm: VectorizedAlgorithm,
-    max_rounds: int,
-    seed: Optional[int],
-    stop_on_reject: bool,
-    metrics: str,
-    observer: Optional[Any] = None,
-    injector: Optional[Any] = None,
-):
-    """The frozen pre-fusion vectorized round loop.
-
-    A verbatim copy of :func:`execute_vectorized` as it stood before the
-    fused :class:`~repro.congest.kernels.RoundKernel` landed: per-round
-    stable argsorts for outbox validation and delivery ordering, fresh
-    temporaries every round, inline full-mode accumulators.  Kept as the
-    baseline the fused engine is differentially tested against
-    (``tests/congest/test_kernels.py``) and benchmarked against
-    (``benchmarks/bench_scale.py`` asserts the fused speedup).  Not part
-    of the production call path -- do not optimise.
-    """
-    from .network import ExecutionResult  # local import: network imports us
-    from .algorithm import NodeContext
-
-    if metrics not in METRIC_MODES:
-        raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
-    comm = CommMetrics(mode=metrics)
-    grid = net.edge_index()
-    n = grid.n
-    master = np.random.default_rng(seed) if seed is not None else None
-    rngs: List[Optional[np.random.Generator]] = [
-        np.random.default_rng(master.integers(0, 2**63)) if master is not None else None
-        for _ in range(n)
-    ]
-    run = VecRun(
-        grid=grid,
-        n=n,
-        namespace_size=net.namespace_size,
-        bandwidth=net.bandwidth,
-        knows_n=net.knows_n,
-        inputs=net.inputs,
-        rngs=rngs,
-    )
-    state = algorithm.init_state(run)
-    if observer is not None:
-        observer.vec_after_init(run)
-
-    full = metrics == "full"
-    if full:
-        edge_bits_acc = np.zeros(grid.num_directed, dtype=np.int64)
-        edge_msgs_acc = np.zeros(grid.num_directed, dtype=np.int64)
-        node_bits_acc = np.zeros(n, dtype=np.int64)
-        node_msgs_acc = np.zeros(n, dtype=np.int64)
-
-    apply_delivery = injector is not None and injector.affects_delivery
-    crash_round_pos: Optional[np.ndarray] = None
-    if injector is not None and injector.crash_round_of:
-        never = np.iinfo(np.int64).max
-        cr = np.full(n, never, dtype=np.int64)
-        for u, at in injector.crash_round_of.items():
-            p = int(np.searchsorted(grid.ids, u))
-            if p < n and int(grid.ids[p]) == u:
-                cr[p] = at
-        if bool((cr != never).any()):
-            crash_round_pos = cr
-    crash_halted = np.zeros(n, dtype=bool)
-    frozen_decision = np.zeros(n, dtype=run.decision.dtype)
-
-    bandwidth = net.bandwidth
-    inbox = VecInbox.empty()
-    rounds_run = 0
-    for r in range(max_rounds):
-        if crash_round_pos is not None:
-            newly = (~crash_halted) & (crash_round_pos <= r)
-            if newly.any():
-                frozen_decision[newly] = run.decision[newly]
-                crash_halted |= newly
-                run.halted[newly] = True
-        if run.halted.all():
-            break
-        if stop_on_reject and bool((run.decision == VEC_REJECT).any()):
-            break
-        out = algorithm.step_all(run, r, state, inbox)
-        if crash_round_pos is not None and crash_halted.any():
-            run.decision[crash_halted] = frozen_decision[crash_halted]
-            run.halted |= crash_halted
-        any_traffic = out is not None and out.edges.shape[0] > 0
-        if any_traffic:
-            edges = np.asarray(out.edges, dtype=np.int64)
-            payload = np.asarray(out.payload)
-            if payload.shape[0] != edges.shape[0]:
-                raise ValueError(
-                    f"round {r}: outbox payload rows ({payload.shape[0]}) != "
-                    f"edges ({edges.shape[0]})"
-                )
-            sizes = out.size_bits
-            per_message = isinstance(sizes, np.ndarray)
-            if per_message and sizes.shape[0] != edges.shape[0]:
-                raise ValueError(
-                    f"round {r}: size_bits array length ({sizes.shape[0]}) != "
-                    f"edges ({edges.shape[0]})"
-                )
-            if crash_round_pos is not None and crash_halted.any():
-                alive = ~crash_halted[grid.src[edges]]
-                if not alive.all():
-                    edges = edges[alive]
-                    payload = payload[alive]
-                    if per_message:
-                        sizes = sizes[alive]
-                    any_traffic = edges.shape[0] > 0
-        if any_traffic:
-            order = np.argsort(edges, kind="stable")
-            if not np.array_equal(order, np.arange(order.shape[0])):
-                edges = edges[order]
-                payload = payload[order]
-                if per_message:
-                    sizes = sizes[order]
-            if edges[0] < 0 or edges[-1] >= grid.num_directed:
-                raise ValueError(f"round {r}: outbox edge index out of range")
-            if edges.shape[0] > 1 and bool((np.diff(edges) == 0).any()):
-                dup = int(edges[np.nonzero(np.diff(edges) == 0)[0][0]])
-                u = int(grid.ids[grid.src[dup]])
-                v = int(grid.ids[grid.dst[dup]])
-                raise ValueError(
-                    f"node {u} tried to send two messages to {v} in round {r}; "
-                    "the model allows one message per edge per round"
-                )
-            if per_message:
-                sizes = sizes.astype(np.int64, copy=False)
-                max_size = int(sizes.max())
-                min_size = int(sizes.min())
-                bits = int(sizes.sum())
-            else:
-                max_size = min_size = int(sizes)
-                bits = max_size * edges.shape[0]
-            if min_size < 0:
-                raise ValueError(f"round {r}: negative size_bits")
-            if bandwidth is not None and max_size > bandwidth:
-                if per_message:
-                    bad = int(np.argmax(sizes > bandwidth))
-                else:
-                    bad = 0
-                e = int(edges[bad])
-                u = int(grid.ids[grid.src[e]])
-                v = int(grid.ids[grid.dst[e]])
-                sz = int(sizes[bad]) if per_message else max_size
-                raise BandwidthExceeded(
-                    f"node {u} -> {v}: message of {sz} bits exceeds B={bandwidth}"
-                )
-            comm.add_round(r, bits, int(edges.shape[0]), max_size)
-            if full:
-                if per_message:
-                    edge_bits_acc[edges] += sizes
-                    np.add.at(node_bits_acc, grid.src[edges], sizes)
-                else:
-                    edge_bits_acc[edges] += max_size
-                    np.add.at(node_bits_acc, grid.src[edges], max_size)
-                edge_msgs_acc[edges] += 1
-                np.add.at(node_msgs_acc, grid.src[edges], 1)
-            if observer is not None:
-                observer.vec_round(r, edges, sizes, payload)
-            if apply_delivery:
-                keep, corrupt = injector.delivery_mask(
-                    r,
-                    grid.ids[grid.src[edges]],
-                    grid.ids[grid.dst[edges]],
-                    sizes if per_message else int(sizes),
-                )
-                if corrupt.any():
-                    payload = payload.copy()
-                    payload[corrupt] = np.zeros((), dtype=payload.dtype)
-                if not keep.all():
-                    edges = edges[keep]
-                    payload = payload[keep]
-                    if per_message:
-                        sizes = sizes[keep]
-            if edges.shape[0] == 0:
-                inbox = VecInbox.empty()
-            else:
-                dorder = np.argsort(grid.in_rank[edges], kind="stable")
-                d_edges = edges[dorder]
-                inbox = VecInbox(
-                    recv=grid.dst[d_edges],
-                    send=grid.src[d_edges],
-                    payload=payload[dorder],
-                    sizes=sizes[dorder] if per_message else None,
-                    size_bits=0 if per_message else max_size,
-                )
-        else:
-            inbox = VecInbox.empty()
-            if observer is not None:
-                observer.vec_round(r, _EMPTY_I64, 0, None)
-        rounds_run = r + 1
-        if observer is not None:
-            observer.vec_after_round(r, run)
-        if not any_traffic and algorithm.all_quiescent(run, state):
-            rounds_run = r
-            break
-
-    algorithm.finish_all(run, state)
-    if crash_round_pos is not None and crash_halted.any():
-        run.decision[crash_halted] = frozen_decision[crash_halted]
-        run.halted |= crash_halted
-
-    contexts: Dict[int, NodeContext] = {}
-    decisions: Dict[int, Decision] = {}
-    for p in range(n):
-        u = int(grid.ids[p])
-        d = _DECISION_OF_CODE[int(run.decision[p])]
-        ctx = NodeContext(
-            id=u,
-            neighbors=net._neighbor_tuples[u],
-            n=net.n if net.knows_n else None,
-            namespace_size=net.namespace_size,
-            bandwidth=net.bandwidth,
-            input=net.inputs.get(u),
-            rng=rngs[p],
-            state=dict(algorithm.node_state(run, state, p)),
-            round=max(rounds_run - 1, 0),
-            decision=d,
-        )
-        ctx._halted = bool(run.halted[p])
-        contexts[u] = ctx
-        decisions[u] = d
-    if observer is not None:
-        observer.vec_after_finish(contexts)
-
-    if full:
-        src_ids = grid.ids[grid.src]
-        dst_ids = grid.ids[grid.dst]
-        for e in np.nonzero(edge_msgs_acc)[0]:
-            comm.edge_bits[(int(src_ids[e]), int(dst_ids[e]))] = int(edge_bits_acc[e])
-        for p in np.nonzero(node_msgs_acc)[0]:
-            u = int(grid.ids[p])
-            comm.node_bits[u] = int(node_bits_acc[p])
-            comm.node_messages[u] = int(node_msgs_acc[p])
-
-    if any(d is Decision.REJECT for d in decisions.values()):
-        global_decision = Decision.REJECT
-    else:
-        global_decision = Decision.ACCEPT
-    return ExecutionResult(
-        decision=global_decision,
-        rounds=rounds_run,
-        metrics=comm,
-        node_decisions=decisions,
-        contexts=contexts,
-    )
+        self._made[u] = ctx
+        return ctx

@@ -388,19 +388,27 @@ class DetectionServer:
             # (the streams protocol logs a cancelled handler otherwise).
             pass
         finally:
-            if tasks:
-                # The client is gone (or the server is stopping): cancel
-                # outstanding request tasks so follower waits unregister
-                # from their groups and executing leaders detach -- a
-                # dropped connection must never wedge a coalescing group.
-                for task in list(tasks):
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
             try:
+                if tasks:
+                    # The client is gone (or the server is stopping):
+                    # cancel outstanding request tasks so follower waits
+                    # unregister from their groups and executing leaders
+                    # detach -- a dropped connection must never wedge a
+                    # coalescing group.
+                    for task in list(tasks):
+                        task.cancel()
+                    await asyncio.gather(*tasks, return_exceptions=True)
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            except asyncio.CancelledError:
+                # Loop teardown after stop() cancelled this handler mid
+                # clean-up (awaiting its request tasks or the socket
+                # close).  Finish uncancelled: a handler task that ends
+                # cancelled is reported to the loop's exception handler by
+                # the streams protocol.
+                writer.close()
 
     async def _respond(
         self,

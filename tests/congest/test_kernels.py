@@ -4,6 +4,7 @@ Three contracts:
 
 * :func:`execute_vectorized` (the fused :class:`RoundKernel` loop) is
   bit-identical to :func:`execute_vectorized_reference` (the frozen
+  benchmark baseline in ``benchmarks/vectorized_reference.py``, the
   pre-fusion loop) -- decisions, rounds, ledgers, and every validation /
   bandwidth *error string*;
 * the ``backend`` knob is feature-gated: ``numpy`` is always there (and
@@ -17,12 +18,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.congest import (
-    BandwidthExceeded,
-    CongestNetwork,
-    execute_vectorized,
-    execute_vectorized_reference,
-)
+from benchmarks.vectorized_reference import execute_vectorized_reference
+from repro.congest import BandwidthExceeded, CongestNetwork, execute_vectorized
 from repro.congest.kernels import (
     BACKENDS,
     NUMPY_OPS,

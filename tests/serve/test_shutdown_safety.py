@@ -5,7 +5,9 @@ Four layers of the same guarantee:
 * ``shutdown_pools`` / ``RunSession.close`` may be called any number of
   times, from any interleaving (the signal-handler regime), without
   raising or double-releasing;
-* a server stopped twice releases its resources exactly once-effectively;
+* a server stopped twice releases its resources exactly once-effectively,
+  and stopping one never reports an error to the loop's exception
+  handler;
 * a ``SIGTERM`` landing mid-request on a serving process with live
   shared-memory exports leaves **zero** surviving segments behind
   (child process asserted from the parent);
@@ -68,6 +70,33 @@ class TestIdempotentTeardown:
             await srv.stop()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("ticks", range(6))
+    def test_stop_with_a_closing_connection_reports_nothing(self, ticks):
+        """Regression: a connection handler cancelled by loop teardown
+        while its socket was still closing ended *cancelled*, and the
+        streams protocol handed that ``CancelledError`` to the loop's
+        default exception handler.  The client closes, the loop runs
+        ``ticks`` more iterations, then the server stops; on the defect,
+        ticks 2 and 3 caught the handler inside ``wait_closed``."""
+        reports = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: reports.append(ctx))
+            srv = DetectionServer()
+            await srv.start()
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.bound_port
+            )
+            await asyncio.sleep(0.01)  # the handler is parked on readline
+            writer.close()
+            for _ in range(ticks):
+                await asyncio.sleep(0)
+            await srv.stop()
+
+        asyncio.run(scenario())
+        assert reports == []
 
 
 class TestSigtermLeavesNoSegments:
