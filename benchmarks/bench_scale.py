@@ -14,19 +14,15 @@ path.  Two claims are asserted (a regression fails the run):
 * wall-clock grows roughly linearly in ``n`` (edges scale with ``n``
   here), pinned loosely to rule out an accidental quadratic term.
 
-Numbers land in ``BENCH_scale.json`` keyed per backend; the ``numba``
-column appears only where the container ships numba (the backend is
-feature-gated -- see ``repro.congest.kernels``).
+Numbers land in ``BENCH_scale.json``.
 """
 
 import time
 
 import networkx as nx
-import pytest
 
 from conftest import print_table
 from emit import emit
-from repro.congest.kernels import backend_available
 from repro.congest.network import CongestNetwork
 from repro.congest.vectorized import execute_vectorized
 from repro.core.broadcast_accumulate import VectorizedBroadcastAccumulate
@@ -61,15 +57,9 @@ def _best_of(fn, reps: int = 2) -> float:
     return min(_time_once(fn) for _ in range(reps))
 
 
-def _run_fused(net, backend=None):
+def _run_fused(net):
     return execute_vectorized(
-        net,
-        VectorizedBroadcastAccumulate(ROUNDS),
-        ROUNDS + 2,
-        0,
-        False,
-        "lite",
-        backend=backend,
+        net, VectorizedBroadcastAccumulate(ROUNDS), ROUNDS + 2, 0, False, "lite"
     )
 
 
@@ -143,45 +133,6 @@ class TestScaleSweep:
                 "node_ratio": factor,
             },
         )
-
-
-class TestBackends:
-    def test_backend_wall_clock(self):
-        rows = []
-        payload = {}
-        for name in ("numpy", "numba"):
-            if not backend_available(name):
-                rows.append((name, *["unavailable"] * len(NS)))
-                payload[name] = "unavailable"
-                continue
-            per_n = {}
-            cells = []
-            for n in NS:
-                net = ring_lattice_net(n)
-                _run_fused(net, backend=name)  # warm (numba: jit compile)
-                secs = _best_of(lambda: _run_fused(net, backend=name))
-                per_n[str(n)] = round(secs, 4)
-                cells.append(f"{secs:.3f}")
-            rows.append((name, *cells))
-            payload[name] = per_n
-        print_table(
-            f"scale: wall-clock by backend ({ROUNDS} rounds, lite metrics)",
-            ["backend", *[f"n={n}" for n in NS]],
-            rows,
-        )
-        assert payload["numpy"] != "unavailable"
-        emit("BENCH_scale", "backend_wall_clock", {"rounds": ROUNDS, "by_backend": payload})
-
-    @pytest.mark.skipif(
-        not backend_available("numba"), reason="numba not installed"
-    )
-    def test_numba_matches_numpy_bit_exact(self):
-        net = ring_lattice_net(NS[1])
-        a = _run_fused(net, backend="numpy")
-        b = _run_fused(net, backend="numba")
-        assert a.decision == b.decision
-        assert a.metrics.total_bits == b.metrics.total_bits
-        assert a.node_decisions == b.node_decisions
 
 
 class TestScaleSmoke:

@@ -89,6 +89,7 @@ from .sanitizer import check_pool_crossing
 __all__ = [
     "IterationOutcome",
     "AmplifiedOutcome",
+    "backoff_delay",
     "prefix_outcome",
     "run_amplified",
     "shutdown_pools",
@@ -396,6 +397,15 @@ def prefix_outcome(
     amp.target_accepts = target
     amp.stop_reason = reason
     return amp
+
+
+def backoff_delay(
+    base: float, attempt: int, cap: Optional[float] = None
+) -> float:
+    """``base * 2**(attempt-1)``, at most ``cap``: the one backoff ladder
+    (pool rebuilds, serve resubmission, the circuit breaker)."""
+    delay = base * (2 ** (attempt - 1))
+    return delay if cap is None else min(cap, delay)
 
 
 def run_amplified(
@@ -728,7 +738,7 @@ def _resilient_chunks(
                 rebuilds=state["attempt"] - 1,
             )
             break
-        delay = backoff_base * (2 ** (state["attempt"] - 1))
+        delay = backoff_delay(backoff_base, state["attempt"])
         _notify(
             on_degrade,
             step="pool-rebuild",

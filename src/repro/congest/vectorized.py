@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .algorithm import Decision, NodeContext
-from .kernels import KernelProfile, RoundKernel, resolve_backend
+from .kernels import KernelProfile, RoundKernel
 from .message import BandwidthExceeded
 from .metrics import METRIC_MODES, CommMetrics
 
@@ -425,7 +425,6 @@ def execute_vectorized(
     metrics: str,
     observer: Optional[Any] = None,
     injector: Optional[Any] = None,
-    backend: Optional[str] = None,
     profile: Optional[KernelProfile] = None,
 ):
     """One pass of the vectorized round loop over ``net``.
@@ -445,9 +444,7 @@ def execute_vectorized(
     billing, so the accounting still reflects what was sent.
 
     The per-round validate -> bill -> deliver sequence runs on a fused
-    :class:`~repro.congest.kernels.RoundKernel` (``backend`` selects its
-    primitive implementation; ``None``/``"numpy"`` is the reference).
-    The frozen pre-fusion loop the differential suites and benchmarks
+    :class:`~repro.congest.kernels.RoundKernel`.  The frozen pre-fusion loop the differential suites and benchmarks
     compare against lives in ``benchmarks/vectorized_reference.py``.
     ``profile`` (a :class:`~repro.congest.kernels.KernelProfile`, opt-in)
     accumulates per-phase wall-clock for the run; ``None`` keeps the loop
@@ -457,7 +454,6 @@ def execute_vectorized(
 
     if metrics not in METRIC_MODES:
         raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
-    ops = resolve_backend(backend)
     comm = CommMetrics(mode=metrics)
     grid = net.edge_index()
     n = grid.n
@@ -488,7 +484,6 @@ def execute_vectorized(
         comm,
         observer=observer,
         injector=injector,
-        ops=ops,
         profile=profile,
         track_full=full,
     )

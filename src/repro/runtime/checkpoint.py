@@ -10,11 +10,12 @@ or crash:
   *appending* flush -- only the not-yet-flushed events are written and
   fsynced, so checkpoint I/O across a sweep is linear in cells (the old
   rewrite-everything flush made it quadratic).  The first flush creates
-  the file atomically (temp + ``os.replace``); a kill mid-append leaves
-  at worst one torn final line, which :meth:`resume` drops via lenient
-  loading -- the on-disk journal is always a loadable prefix of the
-  sweep.  The footer is only written by :meth:`finish`, so an
-  in-progress journal is header + events and never claims completion;
+  the file atomically (both primitives come from
+  :mod:`repro.runtime.journal`); a kill mid-append leaves at worst one
+  torn final line, which :meth:`resume` drops via lenient loading --
+  the on-disk journal is always a loadable prefix of the sweep.  The
+  footer is only written by :meth:`finish`, so an in-progress journal
+  is header + events and never claims completion;
 * resuming loads the journal, verifies the **policy hash** matches (a
   resumed sweep under a different policy would silently mix
   incomparable cells -- that's an error, not a merge), and answers
@@ -31,10 +32,10 @@ other axis fold it into ``label``.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from .journal import append_durable, rewrite_atomic
 from .policy import ExecutionPolicy
 from .record import RunRecord, TraceEvent
 
@@ -160,19 +161,8 @@ class SweepCheckpoint:
         """Atomically write header + all events (no footer) and reset the
         append cursor.  Used for the first flush and the resume-time
         normalization; cost is O(events), paid once, not per cell."""
-        lines = [self.record.header_line()]
-        lines.extend(self.record.event_line(e) for e in self.record.events)
-        payload = "\n".join(lines) + "\n"
-        tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        payload = self.record.to_jsonl(footer=False)
+        rewrite_atomic(self.path, payload)
         self.bytes_flushed += len(payload)
         self._flushed = len(self.record.events)
         self._header_written = True
@@ -189,10 +179,7 @@ class SweepCheckpoint:
         payload = "".join(
             self.record.event_line(e) + "\n" for e in fresh_events
         )
-        with open(self.path, "a") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_durable(self.path, payload)
         self.bytes_flushed += len(payload)
         self._flushed = len(self.record.events)
 

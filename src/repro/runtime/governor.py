@@ -24,11 +24,12 @@ ungoverned one.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+from .journal import rewrite_atomic
 
 __all__ = ["GovernorStateStore", "PeakHoldGovernor"]
 
@@ -121,10 +122,10 @@ class GovernorStateStore:
 
     One file holds one entry per *policy hash*: runs under different
     policies (different bandwidth, lane, fault plan...) have unrelated
-    cost profiles, so their estimates never mix.  Writes are atomic
-    (temp file + :func:`os.replace` in the same directory), so a crashed
-    or concurrent writer can corrupt nothing -- readers see either the
-    old snapshot or the new one.
+    cost profiles, so their estimates never mix.  Writes go through
+    :func:`~repro.runtime.journal.rewrite_atomic`, so a crashed or
+    concurrent writer can corrupt nothing -- readers see either the old
+    snapshot or the new one.
 
     Wired into :class:`~repro.runtime.session.RunSession` via its
     ``governor_state`` argument or the ``REPRO_GOVERNOR_STATE``
@@ -161,7 +162,6 @@ class GovernorStateStore:
             "saved_unix": int(time.time()),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.parent / f".{self.path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
-        return self.path
+        return rewrite_atomic(
+            self.path, json.dumps(data, indent=2, sort_keys=True) + "\n"
+        )

@@ -21,7 +21,6 @@ snapshot so perf trajectories stay attributable across PRs.
 from __future__ import annotations
 
 import json
-import os
 import platform as _platform
 import subprocess
 import threading
@@ -30,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from .journal import read_jsonl, rewrite_atomic
 from .policy import ExecutionPolicy
 
 __all__ = [
@@ -170,67 +170,47 @@ class RunRecord:
             self.finished_unix = time.time()
 
     # -- persistence ---------------------------------------------------
-    def header_line(self) -> str:
-        """The JSONL header line (no trailing newline)."""
-        return json.dumps(
-            {
-                "type": "header",
-                "format": RECORD_FORMAT,
-                "policy": self.policy,
-                "policy_hash": self.policy_hash,
-                "git_sha": self.git_sha,
-                "platform": self.platform,
-                "started_unix": self.started_unix,
-            },
-            sort_keys=True,
-        )
-
     @staticmethod
     def event_line(event: TraceEvent) -> str:
         """One JSONL event line (no trailing newline)."""
         return json.dumps({"type": "event", **event.as_dict()}, sort_keys=True)
 
-    def footer_line(self) -> str:
-        """The JSONL footer line (no trailing newline)."""
-        return json.dumps(
-            {
+    def to_jsonl(self, footer: bool = True) -> str:
+        """The record as JSONL text: a header line, one line per event,
+        then (unless ``footer=False``, an in-progress journal) a footer."""
+        header = {
+            "type": "header",
+            "format": RECORD_FORMAT,
+            "policy": self.policy,
+            "policy_hash": self.policy_hash,
+            "git_sha": self.git_sha,
+            "platform": self.platform,
+            "started_unix": self.started_unix,
+        }
+        lines = [json.dumps(header, sort_keys=True)]
+        lines.extend(self.event_line(e) for e in self.events)
+        if footer:
+            lines.append(json.dumps({
                 "type": "footer",
                 "finished_unix": self.finished_unix,
                 "num_events": len(self.events),
-            },
-            sort_keys=True,
-        )
+            }, sort_keys=True))
+        return "\n".join(lines) + "\n"
 
     def write(self, path: "str | Path", final: bool = True) -> Path:
         """Write the record as JSONL (header, events, footer).
 
-        Crash-safe: the lines are written to a sibling temp file which is
-        fsynced and atomically renamed over ``path``, so a process killed
-        mid-write leaves either the old complete record or the new one --
-        never a truncated file that :meth:`load` would half-parse.
+        Crash-safe via :func:`~repro.runtime.journal.rewrite_atomic`: a
+        process killed mid-write leaves either the old complete record or
+        the new one -- never a truncated file that :meth:`load` would
+        half-parse.
 
-        ``final=False`` skips the :meth:`finalize` stamp -- the mode used
-        by :class:`~repro.runtime.checkpoint.SweepCheckpoint` for its
-        compacting rewrites, so an in-progress sweep journal is not
-        marked finished.
+        ``final=False`` skips the :meth:`finalize` stamp, so the record
+        (and the footer written for it) stays unfinished.
         """
         if final:
             self.finalize()
-        out = Path(path)
-        lines = [self.header_line()]
-        lines.extend(self.event_line(e) for e in self.events)
-        lines.append(self.footer_line())
-        tmp = out.with_name(out.name + f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, out)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return out
+        return rewrite_atomic(path, self.to_jsonl())
 
     @classmethod
     def load(cls, path: "str | Path", lenient: bool = False) -> "RunRecord":
@@ -238,24 +218,21 @@ class RunRecord:
 
         ``lenient=True`` tolerates a torn tail: an appending writer
         killed mid-line leaves a final line that is not valid JSON, and
-        lenient loading stops at the first undecodable line and returns
-        the clean prefix (the loadable-prefix property
+        lenient loading stops at the first undecodable or unknown line
+        and returns the clean prefix (the loadable-prefix property
         :class:`~repro.runtime.checkpoint.SweepCheckpoint` resumes
         from).  A missing or wrong header is an error in both modes.
         """
+        rows, torn = read_jsonl(path)
+        if torn and not lenient:
+            raise ValueError(
+                f"{path}: undecodable line after {len(rows)} record lines"
+            )
         header: Optional[Dict[str, Any]] = None
         footer: Dict[str, Any] = {}
         events: List[TraceEvent] = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                kind = row.get("type")
-            except (json.JSONDecodeError, AttributeError):
-                if lenient:
-                    break
-                raise
+        for lineno, row in enumerate(rows, 1):
+            kind = row.get("type") if isinstance(row, dict) else None
             if kind == "header":
                 header = row
             elif kind == "event":

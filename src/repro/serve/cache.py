@@ -18,15 +18,16 @@ arrive from engine threads while lookups run on the event loop.
 fill is also appended to a write-ahead JSONL journal keyed by the cache
 key, and a restarted server rebuilds the cache from the journal before
 accepting connections -- repeated work survives the process, not just
-the connection.  The journal follows the repo's two durability idioms
-(:class:`~repro.runtime.checkpoint.SweepCheckpoint`):
+the connection.  The journal uses the repo's one durability module,
+:mod:`repro.runtime.journal` (shared with run records, sweep checkpoints
+and the governor sidecar):
 
 * **appends are crash-tolerant, loads are torn-tail-tolerant**: a crash
   mid-append leaves at most one undecodable trailing line, and
   :meth:`CacheJournal.load` stops at the first undecodable line and
   returns the clean prefix (the torn entry simply re-executes later);
-* **rewrites are atomic**: compaction writes a temp file, fsyncs, and
-  ``os.replace``\\ s it over the journal, so no observer ever sees a
+* **rewrites are atomic**: compaction writes a per-process temp file,
+  fsyncs, and swaps it over the journal, so no observer ever sees a
   half-compacted file.
 
 Journal order is replay order: a key journalled twice restores to its
@@ -38,11 +39,12 @@ uninterrupted LRU would hold.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+
+from ..runtime.journal import append_durable, read_jsonl, rewrite_atomic
 
 __all__ = ["CacheJournal", "ResultCache"]
 
@@ -104,19 +106,14 @@ class CacheJournal:
         entries: List[Tuple[Hashable, Any]] = []
         if not self.path.exists():
             return entries
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    row = json.loads(stripped)
-                    key = tuple(row["key"])
-                    entry = row["entry"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    self.dropped_tail += 1
-                    break
-                entries.append((key, entry))
+        rows, torn = read_jsonl(self.path)
+        for row in rows:
+            try:
+                entries.append((tuple(row["key"]), row["entry"]))
+            except (KeyError, TypeError):
+                torn = True
+                break
+        self.dropped_tail += int(torn)
         self.loaded = len(entries)
         return entries
 
@@ -139,37 +136,26 @@ class CacheJournal:
                 clean_len = (
                     self.path.stat().st_size if self.path.exists() else 0
                 )
-                fragment = line[: max(1, len(line) // 2)]
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(fragment)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                append_durable(self.path, line[: max(1, len(line) // 2)])
                 self._torn_written = True
                 self._repair_to = clean_len
                 self.torn_appends += 1
                 return False
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            append_durable(self.path, line + "\n")
             self.appended += 1
             return True
 
     def compact(self, entries: List[Tuple[Hashable, Any]]) -> None:
         """Atomically rewrite the journal to exactly ``entries``.
 
-        Temp file + fsync + ``os.replace``: the journal is always either
-        the old file or the new one, never a prefix of the new one.
+        :func:`~repro.runtime.journal.rewrite_atomic`: the journal is
+        always either the old file or the new one, never a prefix of the
+        new one, and a failed compaction leaves no temp file behind.
         """
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        text = "".join(self._encode_line(k, e) + "\n" for k, e in entries)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as fh:
-                for key, entry in entries:
-                    fh.write(self._encode_line(key, entry) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            rewrite_atomic(self.path, text)
             self._repair_to = None
             self.compactions += 1
 

@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..congest.parallel import backoff_delay
 from ..faults.inject import mix64
 
 __all__ = [
@@ -380,10 +381,10 @@ class CircuitBreaker:
     """Consecutive-failure circuit breaker with capped exponential backoff.
 
     Closed (the normal state) counts consecutive pool-break failures;
-    reaching ``threshold`` opens the circuit for ``backoff_base *
-    2**(openings-1)`` seconds, capped at ``backoff_cap`` -- the same
-    deterministic backoff ladder :func:`repro.congest.parallel.run_amplified`
-    applies to pool rebuilds.  An open circuit fails submissions fast
+    reaching ``threshold`` opens the circuit for
+    :func:`~repro.congest.parallel.backoff_delay` of the opening count,
+    capped at ``backoff_cap`` -- the same deterministic ladder
+    :func:`repro.congest.parallel.run_amplified` applies to pool rebuilds.  An open circuit fails submissions fast
     (no engine work, no queue growth); once the backoff elapses it
     half-opens and admits exactly one probe: a probe success closes the
     circuit and resets the ladder, a probe failure re-opens it one rung
@@ -454,12 +455,10 @@ class CircuitBreaker:
             was_probe = self.state == "half-open"
             if was_probe or self.consecutive_failures >= self.threshold:
                 self.openings += 1
-                backoff = min(
-                    self.backoff_cap,
-                    self.backoff_base * (2 ** (self.openings - 1)),
-                )
                 self.state = "open"
-                self._open_until = self._clock() + backoff
+                self._open_until = self._clock() + backoff_delay(
+                    self.backoff_base, self.openings, self.backoff_cap
+                )
                 self.consecutive_failures = 0
                 self._probe_inflight = False
 

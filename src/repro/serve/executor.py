@@ -115,10 +115,7 @@ def _fresh_record(policy: ExecutionPolicy, stamp: Optional[RecordStamp]) -> RunR
 
 
 def _record_rows(record: RunRecord) -> List[Dict[str, Any]]:
-    rows = [json.loads(record.header_line())]
-    rows.extend(json.loads(RunRecord.event_line(e)) for e in record.events)
-    rows.append(json.loads(record.footer_line()))
-    return rows
+    return [json.loads(line) for line in record.to_jsonl().splitlines()]
 
 
 def _amplified_payload(amp: AmplifiedOutcome) -> Dict[str, Any]:

@@ -74,6 +74,7 @@ import signal
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Union
 
+from ..congest.parallel import backoff_delay
 from ..graphs.cache import cache_stats
 from ..runtime.engine import (
     POOL_BREAK_EXCEPTIONS,
@@ -705,9 +706,10 @@ class DetectionServer:
                     raise WorkerDeathError(attempts, exc) from exc
                 # The PR 5 backoff discipline, at the submission plane.
                 await asyncio.sleep(
-                    min(
+                    backoff_delay(
+                        self.breaker.backoff_base,
+                        attempts,
                         self.breaker.backoff_cap,
-                        self.breaker.backoff_base * (2 ** (attempts - 1)),
                     )
                 )
                 continue

@@ -1,4 +1,4 @@
-"""The fused round kernel: backend gating, differentials, profiling.
+"""The fused round kernel: differentials, profiling, the lane matrix.
 
 Three contracts:
 
@@ -7,10 +7,9 @@ Three contracts:
   benchmark baseline in ``benchmarks/vectorized_reference.py``, the
   pre-fusion loop) -- decisions, rounds, ledgers, and every validation /
   bandwidth *error string*;
-* the ``backend`` knob is feature-gated: ``numpy`` is always there (and
-  canonicalizes to the policy default), ``numba`` resolves only where
-  installed, anything else fails loudly at policy construction;
-* the cross matrix: backend x lane x fault plan runs diff clean through
+* the numpy kernel is the only one: ``backend`` is not a policy field,
+  so every spelling of it fails loudly as an unknown field;
+* the cross matrix: lane x fault plan runs diff clean through
   :func:`diff_records`.
 """
 
@@ -20,14 +19,7 @@ import pytest
 
 from benchmarks.vectorized_reference import execute_vectorized_reference
 from repro.congest import BandwidthExceeded, CongestNetwork, execute_vectorized
-from repro.congest.kernels import (
-    BACKENDS,
-    NUMPY_OPS,
-    BackendUnavailable,
-    KernelProfile,
-    backend_available,
-    resolve_backend,
-)
+from repro.congest.kernels import KernelProfile
 from repro.congest.vectorized import (
     VecOutbox,
     VectorizedAlgorithm,
@@ -39,42 +31,16 @@ from repro.runtime import ExecutionPolicy, PolicyError
 
 
 class TestBackendResolution:
-    def test_numpy_is_always_available(self):
-        assert backend_available("numpy")
-        assert resolve_backend(None) is NUMPY_OPS
-        assert resolve_backend("numpy") is NUMPY_OPS
-
-    def test_unknown_backend_is_loud(self):
-        assert not backend_available("cuda")
-        with pytest.raises(BackendUnavailable, match="cuda"):
-            resolve_backend("cuda")
-
-    def test_numba_is_gated(self):
-        if backend_available("numba"):
-            ops = resolve_backend("numba")
-            assert ops.name == "numba"
-        else:
-            with pytest.raises(BackendUnavailable):
-                resolve_backend("numba")
-
     def test_policy_validates_backend(self):
-        with pytest.raises(PolicyError, match="backend"):
-            ExecutionPolicy(backend="cuda")
-        if not backend_available("numba"):
-            with pytest.raises(PolicyError, match="numba"):
-                ExecutionPolicy(backend="numba")
-
-    def test_explicit_numpy_collapses_to_default_hash(self):
-        # Like no-op fault specs: spelling out the default must not fork
-        # the policy hash (records diff on hashes).
-        assert ExecutionPolicy(backend="numpy").backend is None
-        assert (
-            ExecutionPolicy(backend="numpy").policy_hash()
-            == ExecutionPolicy().policy_hash()
-        )
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("numpy", "numba")
+        # The kernel has one implementation; naming a backend is an
+        # unknown policy field in every loader, not a silent no-op.
+        for spec in ("backend=numba", "backend=numpy"):
+            with pytest.raises(PolicyError, match="unknown policy field"):
+                ExecutionPolicy.from_spec(spec)
+        with pytest.raises(PolicyError, match="unknown policy field"):
+            ExecutionPolicy.from_dict({"backend": None})
+        with pytest.raises(TypeError):
+            ExecutionPolicy(backend="numba")
 
 
 class _UnsortedEcho(VectorizedAlgorithm):
@@ -216,7 +182,6 @@ class TestKernelProfile:
         assert prof.fast_rounds == 5  # full broadcast rides the fast path
         assert prof.messages == 5 * 4 * 32
         d = prof.as_dict()
-        assert d["backend"] == "numpy"
         assert all(k in d for k in ("step_ms", "mask_ms", "bill_ms",
                                     "permute_ms", "deliver_ms"))
 
@@ -243,21 +208,21 @@ class TestKernelProfile:
                  if e.kind == "note" and e.label == "vec_profile"]
         assert len(notes) == 1
         assert notes[0].extra["rounds"] == 3
-        assert notes[0].extra["backend"] == "numpy"
+        assert notes[0].extra["fast_rounds"] == 3
 
 
 # ----------------------------------------------------------------------
-# backend x lane x fault-plan cross matrix
+# lane x fault-plan cross matrix
 # ----------------------------------------------------------------------
 MATRIX_FAULTS = [None, "drop:0.3", "drop:0.2|corrupt:0.2|crash:1@2|seed:13"]
 
 
-def _run_matrix_cell(backend, lane, spec):
+def _run_matrix_cell(lane, spec):
     from repro.core.cycle_detection_linear import detect_cycle_linear
     from repro.runtime import RunSession
 
     g = nx.cycle_graph(12)
-    policy = ExecutionPolicy(lane=lane, faults=spec, seed=5, backend=backend)
+    policy = ExecutionPolicy(lane=lane, faults=spec, seed=5)
     with RunSession(policy, record=True, owns_pools=False) as ses:
         rep = detect_cycle_linear(g, 4, iterations=6, session=ses)
         out = (rep.detected, rep.iterations_run, rep.total_bits,
@@ -270,21 +235,9 @@ class TestBackendLaneFaultMatrix:
     def test_numpy_backend_matches_object_lane(self, spec):
         from repro.runtime import diff_records
 
-        out_obj, rec_obj = _run_matrix_cell(None, "object", spec)
-        out_vec, rec_vec = _run_matrix_cell("numpy", "vectorized", spec)
+        out_obj, rec_obj = _run_matrix_cell("object", spec)
+        out_vec, rec_vec = _run_matrix_cell("vectorized", spec)
         assert out_obj == out_vec
         diff = diff_records(rec_obj, rec_vec)
         assert diff["num_events"][0] == diff["num_events"][1], diff
-        assert diff["first_divergence"] is None, diff
-
-    def test_numba_backend_matches_numpy(self, spec):
-        pytest.importorskip("numba")
-        from repro.runtime import diff_records
-
-        out_np, rec_np = _run_matrix_cell("numpy", "vectorized", spec)
-        out_nb, rec_nb = _run_matrix_cell("numba", "vectorized", spec)
-        assert out_np == out_nb
-        # Backend rides in the policy hash only when non-default; the
-        # traces themselves must be indistinguishable.
-        diff = diff_records(rec_np, rec_nb)
         assert diff["first_divergence"] is None, diff

@@ -18,7 +18,12 @@ import networkx as nx
 import pytest
 
 from repro.congest import Algorithm
-from repro.congest.parallel import _POOLS, run_amplified, shutdown_pools
+from repro.congest.parallel import (
+    _POOLS,
+    backoff_delay,
+    run_amplified,
+    shutdown_pools,
+)
 
 
 def _in_worker() -> bool:
@@ -277,3 +282,21 @@ class TestHarvestRegression:
         salvage = [s for s in steps if s["step"] == "timeout-salvage"]
         assert len(salvage) == 1 and salvage[0]["chunks_salvaged"] == 1
         _same_outcome(out, _reference())
+
+
+class TestBackoffLadder:
+    """One ladder for pool rebuilds, server resubmission and the breaker:
+    the shared function reproduces each call site's former inline
+    expression exactly."""
+
+    @pytest.mark.parametrize("base", [0.01, 0.05, 0.25])
+    def test_uncapped_matches_pool_rebuild_formula(self, base):
+        for attempt in range(1, 7):
+            assert backoff_delay(base, attempt) == base * (2 ** (attempt - 1))
+
+    @pytest.mark.parametrize("base,cap", [(0.05, 2.0), (0.1, 0.35), (0.5, 0.5)])
+    def test_capped_matches_breaker_and_server_formula(self, base, cap):
+        for attempt in range(1, 7):
+            assert backoff_delay(base, attempt, cap) == min(
+                cap, base * (2 ** (attempt - 1))
+            )

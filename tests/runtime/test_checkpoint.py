@@ -192,6 +192,38 @@ class TestAppendingFlush:
         ck.finish()
         assert second == done[2:]
 
+    def test_legacy_header_with_backend_field_resumes(self, tmp_path):
+        # Journals written while the policy still had a ``backend`` field
+        # carry ``"backend": null`` in their header.  The field was
+        # hash-elided, so they resume, and the finished record diffs
+        # clean against one written without the field.
+        import json
+
+        straight = tmp_path / "straight.jsonl"
+        legacy = tmp_path / "legacy.jsonl"
+        done = []
+        ck = SweepCheckpoint.fresh(POLICY, straight)
+        _sweep(ck, done)
+        ck.finish()
+
+        first, second = [], []
+        ck = SweepCheckpoint.fresh(POLICY, legacy)
+        with pytest.raises(KeyboardInterrupt):
+            _sweep(ck, first, die_after=2)
+        lines = legacy.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["policy"]["backend"] = None
+        legacy.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+        ck = SweepCheckpoint.resume(legacy, POLICY)
+        assert ck.completed == 2
+        _sweep(ck, second)
+        ck.finish()
+        assert second == done[2:]
+        diff = diff_records(RunRecord.load(straight), RunRecord.load(legacy))
+        assert "policy" not in diff
+        assert diff["identical"], diff
+
 
 from repro.congest.algorithm import Algorithm
 

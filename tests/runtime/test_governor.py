@@ -172,7 +172,7 @@ class TestStatePersistence:
         store.save("h2", gov)
         data = json.loads(path.read_text())
         assert set(data) == {"h1", "h2"}
-        assert not list(tmp_path.glob(".*tmp*")), "temp file left behind"
+        assert not list(tmp_path.glob("*.tmp*")), "temp file left behind"
 
     def test_corrupt_sidecar_reads_as_empty(self, tmp_path):
         path = tmp_path / "gov.json"

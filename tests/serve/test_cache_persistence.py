@@ -58,7 +58,7 @@ class TestJournalBasics:
             j.append(("k", i), {"v": i})
         j.compact([(("k", 4), {"v": 4})])
         assert _journal(tmp_path).load() == [(("k", 4), {"v": 4})]
-        assert not j.path.with_name(j.path.name + ".tmp").exists()
+        assert list(tmp_path.glob("*.tmp*")) == []  # no temp debris
         assert j.compactions == 1
 
 
