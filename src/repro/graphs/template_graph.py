@@ -22,8 +22,9 @@ Observation 5.2: ``G`` contains a triangle iff ``X_ab ∧ X_bc ∧ X_ac``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -84,10 +85,24 @@ class TemplateSample:
     """One draw from the Theorem 5.1 input distribution ``μ``."""
 
     n: int
-    graph: nx.Graph  # the realized subgraph G ⊆ G_T (all vertices kept)
+    #: The realized edges of ``G ⊆ G_T``, each oriented as in ``G_T``.
+    edges: FrozenSet[Tuple[Hashable, Hashable]]
     identifiers: Dict[Hashable, int]
     inputs: Dict[str, SpecialInput]
     triangle_bits: Dict[Tuple[str, str], int]  # X_ab, X_bc, X_ac
+
+    @functools.cached_property
+    def graph(self) -> nx.Graph:
+        """The realized subgraph ``G`` (all vertices of ``G_T`` kept), with
+        ``G_T``'s node and edge order; built on first read."""
+        layout = _layout(self.n)
+        g = nx.Graph()
+        g.add_nodes_from(layout.nodes)
+        g.add_edges_from(e for e in layout.edges if e in self.edges)
+        return g
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return (u, v) in self.edges or (v, u) in self.edges
 
     @property
     def x_ab(self) -> int:
@@ -102,10 +117,9 @@ class TemplateSample:
         return self.triangle_bits[("a", "c")]
 
     def has_triangle(self) -> bool:
-        """Observation 5.2's left-hand side, from the realized graph."""
-        g = self.graph
+        """Observation 5.2's left-hand side, from the realized edges."""
         return all(
-            g.has_edge(("special", s), ("special", t))
+            self.has_edge(("special", s), ("special", t))
             for s, t in (("a", "b"), ("b", "c"), ("a", "c"))
         )
 
@@ -141,6 +155,44 @@ def _triangles(g: nx.Graph):
                 yield (u, v, w)
 
 
+class _Layout(NamedTuple):
+    """What every draw at one ``n`` shares, in ``G_T``'s own orders."""
+
+    nodes: Tuple[Hashable, ...]  # insertion order
+    id_order: Tuple[Hashable, ...]  # sorted by repr: identifier draw order
+    edges: Tuple[Tuple[Hashable, Hashable], ...]  # ``G_T.edges()`` order
+    #: Per special ``s``: its potential neighbors sorted by repr, the edge
+    #: index of each, and the position of each other special among them.
+    potential: Dict[str, Tuple[Hashable, ...]]
+    edge_index: Dict[str, np.ndarray]
+    partner_pos: Dict[str, Dict[str, int]]
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(n: int) -> _Layout:
+    template = build_template_graph(n)
+    edges = tuple(template.edges())
+    position = {e: i for i, e in enumerate(edges)}
+    position.update({(v, u): i for (u, v), i in position.items()})
+    potential, edge_index, partner_pos = {}, {}, {}
+    for s in SPECIALS:
+        vs = ("special", s)
+        around = tuple(sorted(template.neighbors(vs), key=repr))
+        potential[s] = around
+        edge_index[s] = np.array([position[(vs, w)] for w in around], dtype=np.int64)
+        partner_pos[s] = {
+            t: around.index(("special", t)) for t in SPECIALS if t != s
+        }
+    return _Layout(
+        nodes=tuple(template.nodes()),
+        id_order=tuple(sorted(template.nodes(), key=repr)),
+        edges=edges,
+        potential=potential,
+        edge_index=edge_index,
+        partner_pos=partner_pos,
+    )
+
+
 def sample_input(
     n: int,
     rng: np.random.Generator,
@@ -151,50 +203,35 @@ def sample_input(
 
     ``id_space`` defaults to the paper's ``n^3`` (minimum 8 so tiny tests
     stay sane).  ``edge_probability`` defaults to the paper's 1/2; other
-    values support sensitivity ablations.
+    values support sensitivity ablations.  Randomness is drawn in a fixed
+    order: identifiers, then one uniform per ``G_T`` edge, then each
+    special node's permutation.
     """
-    template = build_template_graph(n)
+    layout = _layout(n)
     if id_space is None:
         id_space = max(n**3, 8)
 
-    identifiers = {
-        v: int(rng.integers(0, id_space)) for v in sorted(template.nodes(), key=repr)
-    }
-
-    g = nx.Graph()
-    g.add_nodes_from(template.nodes())
-    for u, v in template.edges():
-        if rng.random() < edge_probability:
-            g.add_edge(u, v)
-
-    triangle_bits = {
-        ("a", "b"): int(g.has_edge(("special", "a"), ("special", "b"))),
-        ("b", "c"): int(g.has_edge(("special", "b"), ("special", "c"))),
-        ("a", "c"): int(g.has_edge(("special", "a"), ("special", "c"))),
-    }
-
-    inputs: Dict[str, SpecialInput] = {}
-    for s in SPECIALS:
-        vs = ("special", s)
-        potential = sorted(template.neighbors(vs), key=repr)
-        perm = rng.permutation(len(potential))
-        permuted = [potential[j] for j in perm]
-        ids = tuple(identifiers[w] for w in permuted)
-        bits = tuple(int(g.has_edge(vs, w)) for w in permuted)
-        partner_index = {
-            t: permuted.index(("special", t)) for t in SPECIALS if t != s
-        }
-        inputs[s] = SpecialInput(
-            own_id=identifiers[vs],
-            ids=ids,
-            bits=bits,
-            partner_index=partner_index,
+    identifiers = {v: int(rng.integers(0, id_space)) for v in layout.id_order}
+    kept = rng.random(len(layout.edges)) < edge_probability
+    edges = frozenset(e for e, k in zip(layout.edges, kept.tolist()) if k)
+    sample = TemplateSample(
+        n=n, edges=edges, identifiers=identifiers, inputs={}, triangle_bits={}
+    )
+    for s, t in (("a", "b"), ("b", "c"), ("a", "c")):
+        sample.triangle_bits[(s, t)] = int(
+            sample.has_edge(("special", s), ("special", t))
         )
 
-    return TemplateSample(
-        n=n,
-        graph=g,
-        identifiers=identifiers,
-        inputs=inputs,
-        triangle_bits=triangle_bits,
-    )
+    for s in SPECIALS:
+        potential = layout.potential[s]
+        perm = rng.permutation(len(potential))
+        order = perm.tolist()
+        sample.inputs[s] = SpecialInput(
+            own_id=identifiers[("special", s)],
+            ids=tuple(identifiers[potential[j]] for j in order),
+            bits=tuple(kept[layout.edge_index[s][perm]].astype(int).tolist()),
+            partner_index={
+                t: order.index(j) for t, j in layout.partner_pos[s].items()
+            },
+        )
+    return sample

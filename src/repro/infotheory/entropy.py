@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .distributions import JointDistribution
 
 __all__ = [
@@ -35,6 +37,20 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _check_pair(p: Sequence[float], q: Sequence[float]) -> None:
+    """Two probability vectors over one support: equal lengths, every entry
+    finite and non-negative, each summing to 1."""
+    if len(p) != len(q):
+        raise ValueError("supports must match")
+    for dist in (p, q):
+        if (
+            not all(math.isfinite(v) for v in dist)
+            or any(v < -_EPS for v in dist)
+            or abs(sum(dist) - 1.0) > 1e-6
+        ):
+            raise ValueError("arguments must be probability vectors")
+
+
 def binary_entropy(p: float) -> float:
     """``h(p)`` in bits; endpoints give 0."""
     if not 0.0 <= p <= 1.0:
@@ -48,8 +64,9 @@ def entropy(dist: JointDistribution, names: Optional[Sequence[str]] = None) -> f
     """``H(X)`` for the (joint) variable(s) ``names`` (all if omitted), in bits."""
     if names is None:
         names = dist.variables
-    marg = dist.marginal(list(names))
-    return -sum(p * math.log2(p) for p in marg.pmf.values() if p > _EPS)
+    p = dist.marginal(list(names)).probabilities
+    p = p[p > _EPS]
+    return float(-np.dot(p, np.log2(p)))
 
 
 def conditional_entropy(
@@ -86,11 +103,7 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     quantity behind Lemma 5.3's "change in behavior translates to a lower
     bound on mutual information": ``I(X; M) = E_x[D(P_{M|X=x} || P_M)]``.
     """
-    if len(p) != len(q):
-        raise ValueError("supports must match")
-    for dist in (p, q):
-        if any(v < -_EPS for v in dist) or abs(sum(dist) - 1.0) > 1e-6:
-            raise ValueError("arguments must be probability vectors")
+    _check_pair(p, q)
     total = 0.0
     for pi, qi in zip(p, q):
         if pi <= _EPS:
@@ -114,8 +127,7 @@ def pinsker_bound(p: Sequence[float], q: Sequence[float]) -> float:
     experiments: any behavioural gap of TV ``t`` certifies at least this
     much information.
     """
-    if len(p) != len(q):
-        raise ValueError("supports must match")
+    _check_pair(p, q)
     tv = 0.5 * sum(abs(pi - qi) for pi, qi in zip(p, q))
     return 2.0 * tv * tv / math.log(2.0)
 

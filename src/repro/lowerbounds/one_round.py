@@ -197,6 +197,35 @@ def _message_distribution(
     return out
 
 
+def _pinned_joint(
+    dist_b: Dict[int, Dict[str, float]], dist_c: Dict[int, Dict[str, float]]
+) -> Tuple[JointDistribution, int]:
+    """The joint of ``(x_bc, m_ba, m_ca)`` and its longest message.
+
+    ``X_bc`` is uniform and ``M_ba, M_ca`` are independent given it, so
+    the block for ``X_bc = b`` is ``0.5 * outer(p(M_ba | b), p(M_ca | b))``
+    over the message codes.
+    """
+    x_codes, b_codes, c_codes, probs = [], [], [], []
+    tables: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
+    for b in (0, 1):
+        mb = [tables[0].setdefault(m, len(tables[0])) for m in dist_b[b]]
+        mc = [tables[1].setdefault(m, len(tables[1])) for m in dist_c[b]]
+        pb = np.fromiter(dist_b[b].values(), dtype=np.float64, count=len(mb))
+        pc = np.fromiter(dist_c[b].values(), dtype=np.float64, count=len(mc))
+        x_codes.append(np.full(len(mb) * len(mc), b, dtype=np.int64))
+        b_codes.append(np.repeat(np.array(mb, dtype=np.int64), len(mc)))
+        c_codes.append(np.tile(np.array(mc, dtype=np.int64), len(mb)))
+        probs.append((0.5 * np.outer(pb, pc)).ravel())
+    joint = JointDistribution.from_codes(
+        ("x_bc", "m_ba", "m_ca"),
+        ((0, 1), tuple(tables[0]), tuple(tables[1])),
+        (np.concatenate(x_codes), np.concatenate(b_codes), np.concatenate(c_codes)),
+        np.concatenate(probs),
+    )
+    return joint, max(len(m) for table in tables for m in table)
+
+
 def pinned_world_mi(
     protocol: OneRoundProtocol,
     n: int,
@@ -239,15 +268,8 @@ def pinned_world_mi(
             n_free_max=n_free_max,
             rng=rng,
         )
-        # Joint: X_bc uniform; M_ba, M_ca independent given X_bc.
-        pmf: Dict[Tuple, float] = {}
-        for b in (0, 1):
-            for mb, pb in dist_b[b].items():
-                for mc, pc in dist_c[b].items():
-                    key = (b, mb, mc)
-                    pmf[key] = pmf.get(key, 0.0) + 0.5 * pb * pc
-                    max_bits = max(max_bits, len(mb), len(mc))
-        joint = JointDistribution(("x_bc", "m_ba", "m_ca"), pmf)
+        joint, bits = _pinned_joint(dist_b, dist_c)
+        max_bits = max(max_bits, bits)
         mis.append(mutual_information(joint, ["x_bc"], ["m_ba", "m_ca"]))
     if not mis:
         raise RuntimeError("no duplicate-free worlds sampled; enlarge id_space")

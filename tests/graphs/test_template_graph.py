@@ -91,3 +91,29 @@ class TestSampler:
         template = build_template_graph(n)
         for u, v in sample.graph.edges():
             assert template.has_edge(u, v)
+
+
+class TestSamplerIdentity:
+    """The cached-layout sampler draws exactly what the frozen networkx
+    sampler in ``template_sampler_reference`` draws, from the same random
+    numbers in the same order."""
+
+    @pytest.mark.parametrize("edge_probability", [0.5, 0.2])
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 10])
+    def test_identical_to_frozen_sampler(self, n, edge_probability):
+        from tests.graphs.template_sampler_reference import sample_input as frozen
+
+        for seed in range(12):
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            new = sample_input(n, rng_new, edge_probability=edge_probability)
+            old = frozen(n, rng_old, edge_probability=edge_probability)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            assert new.identifiers == old.identifiers
+            assert list(new.identifiers) == list(old.identifiers)
+            assert new.inputs == old.inputs
+            assert new.triangle_bits == old.triangle_bits
+            assert list(new.graph.nodes()) == list(old.graph.nodes())
+            assert list(new.graph.edges()) == list(old.graph.edges())
+            assert new.has_triangle() == old.has_triangle()
+            assert new.observation_5_2_holds() == old.observation_5_2_holds()

@@ -189,6 +189,29 @@ class TestDistributions:
         with pytest.raises(ValueError):
             a.join_with_product(a)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        with pytest.raises(ValueError):
+            JointDistribution(("x",), {(0,): bad, (1,): 1.0})
+
+    def test_from_codes_rejects_nan(self):
+        with pytest.raises(ValueError):
+            JointDistribution.from_codes(("x",), [(0, 1)], [[0, 1]], [math.nan, 1.0])
+
+    def test_from_codes_matches_constructor(self):
+        d = JointDistribution.from_codes(
+            ("x", "m"), [(0, 1), ("a", "b")], [[0, 1, 1, 1], [0, 1, 0, 1]],
+            [0.5, 0.25, 0.125, 0.125],
+        )
+        assert d.pmf == {(0, "a"): 0.5, (1, "a"): 0.125, (1, "b"): 0.375}
+        for bad in (
+            ([(0, 0)], [[0]], [1.0]),  # repeated value in a table
+            ([(0,)], [[1]], [1.0]),  # code outside the table
+            ([(0,)], [[0, 0]], [1.0]),  # column longer than the vector
+        ):
+            with pytest.raises(ValueError):
+                JointDistribution.from_codes(("x",), *bad)
+
     def test_from_samples(self):
         d = JointDistribution.from_samples(("x",), [(1,), (1,), (0,), (1,)])
         assert d.probability(x=1) == pytest.approx(0.75)
@@ -229,6 +252,23 @@ class TestDivergence:
             kl_divergence([0.5, 0.5], [1.0])
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.6], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_divergences_reject_non_finite(self, bad):
+        from repro.infotheory import kl_divergence, pinsker_bound
+
+        with pytest.raises(ValueError):
+            kl_divergence([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            kl_divergence([0.5, 0.5], [1.0, bad])
+        with pytest.raises(ValueError):
+            pinsker_bound([bad, 1.0], [0.5, 0.5])
+
+    def test_pinsker_validates(self):
+        from repro.infotheory import pinsker_bound
+
+        with pytest.raises(ValueError):
+            pinsker_bound([0.5, 0.6], [0.5, 0.5])
 
     def test_mi_is_expected_divergence(self):
         """I(X; Y) = E_x D(P_{Y|x} || P_Y) -- the identity Lemma 5.3 walks."""
