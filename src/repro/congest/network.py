@@ -42,11 +42,15 @@ Fast path
 Construction maps the graph's adjacency through the identifier assignment
 straight into the CSR :class:`~repro.congest.vectorized.EdgeIndex` --
 a few array passes, no relabelled networkx copy and no per-node
-dictionaries.  The object lane's structures (the relabelled ``graph``,
-the adjacency sets used for send validation and the sorted neighbor
-tuples used for context construction) are materialised from that index on
-first use and then cached, so repeated runs on the same network never
-query networkx again and purely vectorized runs never build them at all.
+dictionaries.  When the vertices are the plain ints ``0..n-1`` and no
+assignment is given, labels are positions and the adjacency is read
+into arrays with no lookup at all.  The per-vertex dictionaries
+(``assignment`` when it is that identity, ``vertex_of``) and the object
+lane's structures (the relabelled ``graph``, the adjacency sets used for
+send validation and the sorted neighbor tuples used for context
+construction) are materialised from the index on first use and then
+cached, so repeated runs on the same network never query networkx again
+and purely vectorized runs never build them at all.
 ``run(..., metrics="lite")`` keeps the aggregate bit counters but skips
 the per-edge metric dictionaries (see :mod:`repro.congest.metrics` for the
 exact contract); lower-bound harnesses must keep the default
@@ -72,6 +76,12 @@ __all__ = ["CongestNetwork", "ExecutionResult", "run_congest"]
 
 #: Shared read-only inbox for rounds in which a node received nothing.
 _EMPTY_INBOX: Mapping[int, Message] = MappingProxyType({})
+
+#: Per-vertex :class:`CongestNetwork` attributes derived from the CSR
+#: index on first use (see :meth:`CongestNetwork.__getattr__`).
+_LAZY = frozenset(
+    ("_node_ids", "assignment", "vertex_of", "_neighbor_tuples", "_adj", "graph")
+)
 
 
 class ExecutionResult:
@@ -151,7 +161,8 @@ class CongestNetwork:
     Parameters
     ----------
     graph:
-        The network graph.  Vertices may be arbitrary hashables; they are
+        The network graph, undirected (a directed graph raises
+        ``ValueError``).  Vertices may be arbitrary hashables; they are
         relabelled by ``assignment``.
     assignment:
         Mapping from graph vertex to identifier.  Defaults to the canonical
@@ -168,6 +179,11 @@ class CongestNetwork:
         Optional per-vertex private inputs, keyed by *original* vertex.
     """
 
+    #: Vertex -> identifier and identifier -> vertex.  Both are derived on
+    #: first use when the assignment is the identity (see ``__getattr__``).
+    assignment: Dict[Hashable, int]
+    vertex_of: Dict[int, Hashable]
+
     def __init__(
         self,
         graph: nx.Graph,
@@ -179,27 +195,34 @@ class CongestNetwork:
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty network")
+        if graph.is_directed():
+            raise ValueError("CONGEST networks are undirected")
+        self.original_graph = graph
+        lookup: Optional[Dict[Hashable, int]] = None
         if assignment is None:
             try:
                 ordered = sorted(graph.nodes())
             except TypeError:
                 ordered = list(graph.nodes())
-            assignment = canonical_assignment(ordered)
-        ids = list(assignment.values())
-        if len(set(ids)) != len(ids):
-            raise ValueError("identifier assignment must be injective")
-        if set(assignment.keys()) != set(graph.nodes()):
-            raise ValueError("assignment must cover exactly the graph's vertices")
-
-        self.original_graph = graph
-        self.assignment: Dict[Hashable, int] = dict(assignment)
-        self.vertex_of: Dict[int, Hashable] = {i: v for v, i in assignment.items()}
+            # The canonical assignment is injective and covering by
+            # construction.  When the vertices are exactly the ints
+            # ``0..n-1`` it is the identity: labels are positions, and
+            # ``assignment`` is derived on first use like ``vertex_of``.
+            if not _labels_are_positions(ordered):
+                self.assignment = lookup = canonical_assignment(ordered)
+        else:
+            ids = list(assignment.values())
+            if len(set(ids)) != len(ids):
+                raise ValueError("identifier assignment must be injective")
+            if set(assignment.keys()) != set(graph.nodes()):
+                raise ValueError("assignment must cover exactly the graph's vertices")
+            self.assignment = lookup = dict(assignment)
+        self._adopt(
+            _edge_index_of(graph, lookup), bandwidth, namespace_size, knows_n
+        )
         self.inputs = {
             self.assignment[v]: inp for v, inp in (inputs or {}).items()
         }
-        self._adopt(
-            _edge_index_of(graph, self.assignment), bandwidth, namespace_size, knows_n
-        )
 
     @classmethod
     def from_csr(
@@ -215,16 +238,14 @@ class CongestNetwork:
         The shared-memory attach path (:mod:`repro.congest.shm`) uses this
         so amplification workers wrap the parent's exported arrays without
         re-deriving anything from a networkx graph.  Identifiers are the
-        index's ``ids`` with the identity assignment; private ``inputs``
-        are not supported (they never ride shared memory).
+        index's ``ids`` with the identity assignment, derived on first
+        use; private ``inputs`` are not supported (they never ride
+        shared memory).
         """
         if edge_index.n == 0:
             raise ValueError("cannot simulate an empty network")
         self = object.__new__(cls)
-        identity = {u: u for u in edge_index.ids.tolist()}
         self.original_graph = None
-        self.assignment = identity
-        self.vertex_of = dict(identity)
         self.inputs = {}
         self._adopt(edge_index, bandwidth, namespace_size, knows_n)
         return self
@@ -238,9 +259,10 @@ class CongestNetwork:
     ) -> None:
         """Install ``grid`` as the network's topology (both constructors).
 
-        The object-lane structures (``graph``, ``_adj``,
-        ``_neighbor_tuples``) are left unset: :meth:`__getattr__` derives
-        them from the index on first use.
+        The per-vertex structures (``assignment`` when it is the
+        identity, ``vertex_of``, ``_node_ids``, and the object lane's
+        ``graph``, ``_adj`` and ``_neighbor_tuples``) are left unset:
+        :meth:`__getattr__` derives them from the index on first use.
         """
         self.bandwidth = bandwidth
         self.n = grid.n
@@ -250,20 +272,26 @@ class CongestNetwork:
             else max(int(grid.ids[-1]) + 1, grid.n)
         )
         self.knows_n = knows_n
-        self._node_ids: Tuple[int, ...] = tuple(grid.ids.tolist())
         self._grid = grid
 
     def __getattr__(self, name: str) -> Any:
-        # Lazy object-lane structures, derived from the CSR index on first
+        # Lazy per-vertex structures, derived from the CSR index on first
         # use and cached as plain attributes (so this fires once per name).
-        if name in ("_neighbor_tuples", "_adj", "graph"):
+        if name in _LAZY:
             grid = self.__dict__.get("_grid")
             if grid is None:
                 raise AttributeError(name)
-            if name == "_neighbor_tuples":
+            if name == "_node_ids":
+                value: Any = tuple(grid.ids.tolist())
+            elif name == "assignment":
+                # Only ever unset when it is the identity on the ids.
+                value = dict(zip(self._node_ids, self._node_ids))
+            elif name == "vertex_of":
+                value = {i: v for v, i in self.assignment.items()}
+            elif name == "_neighbor_tuples":
                 out_ptr = grid.out_ptr.tolist()
                 dst_ids = grid.ids[grid.dst].tolist()
-                value: Any = {
+                value = {
                     u: tuple(dst_ids[out_ptr[p] : out_ptr[p + 1]])
                     for p, u in enumerate(self._node_ids)
                 }
@@ -591,30 +619,57 @@ class CongestNetwork:
         return all(ctx._halted or probe(ctx) for ctx in contexts.values())
 
 
-def _edge_index_of(graph: nx.Graph, assignment: Mapping[Hashable, int]) -> EdgeIndex:
+def _labels_are_positions(ordered: list) -> bool:
+    """True iff the sorted vertices ``ordered`` are exactly the plain ints
+    ``0..n-1``, so the canonical assignment is the identity.
+
+    ``n`` distinct sorted ints from ``0`` to ``n-1`` are all of them.
+    ``bool`` and ``np.int64`` labels fail the type test (they take the
+    lookup path, as do negative, gapped or non-int labels).
+    """
+    return (
+        ordered[0] == 0
+        and ordered[-1] == len(ordered) - 1
+        and set(map(type, ordered)) == {int}
+    )
+
+
+def _edge_index_of(
+    graph: nx.Graph, assignment: Optional[Mapping[Hashable, int]]
+) -> EdgeIndex:
     """The CSR index of ``graph`` under ``assignment``, straight from its
     adjacency.
 
     Iterating every vertex's neighbors yields each edge in both directions
-    and a self-loop once, i.e. exactly the directed edges.  Endpoints are
-    mapped to identifiers in that one pass, to positions by
-    ``searchsorted`` into the sorted identifiers, then put in out order.
+    and a self-loop once, i.e. exactly the directed edges.  With
+    ``assignment=None`` the vertices are the ints ``0..n-1`` and labels
+    are positions, so the endpoints are read straight into arrays;
+    otherwise they are mapped to identifiers in that one pass, then to
+    positions by ``searchsorted`` into the sorted identifiers.  Out order
+    sorts the single key ``src * n + dst`` (unique: a simple graph has
+    one directed edge per ordered pair).  The edge set is symmetric, so
+    in order is out order with the endpoints swapped: the receivers in
+    in order are ``src`` and the senders ``dst``.
     """
-    ident = assignment.__getitem__
     adjacency = dict(graph.adjacency())
     n = len(adjacency)
     deg = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
-    owner = np.fromiter(map(ident, adjacency), dtype=np.int64, count=n)
-    nbr = np.fromiter(
-        map(ident, chain.from_iterable(adjacency.values())),
-        dtype=np.int64,
-        count=int(deg.sum()),
-    )
-    ids = np.sort(owner)
-    src = np.repeat(np.searchsorted(ids, owner), deg)
-    dst = np.searchsorted(ids, nbr)
-    order = np.lexsort((dst, src))
-    return EdgeIndex.from_arrays(ids, src[order], dst[order])
+    neighbors = chain.from_iterable(adjacency.values())
+    e = int(deg.sum())
+    if assignment is None:
+        ids = np.arange(n, dtype=np.int64)
+        owner = np.fromiter(adjacency, dtype=np.int64, count=n)
+        dst = np.fromiter(neighbors, dtype=np.int64, count=e)
+    else:
+        ident = assignment.__getitem__
+        owner = np.fromiter(map(ident, adjacency), dtype=np.int64, count=n)
+        nbr = np.fromiter(map(ident, neighbors), dtype=np.int64, count=e)
+        ids = np.sort(owner)
+        owner = np.searchsorted(ids, owner)
+        dst = np.searchsorted(ids, nbr)
+    src = np.repeat(owner, deg)
+    src, dst = np.divmod(np.sort(src * n + dst), n)
+    return EdgeIndex.from_arrays(ids, src, dst, in_recv=src, in_send=dst)
 
 
 def _build_injector(faults: Any, seed: Optional[int]) -> Optional[Any]:

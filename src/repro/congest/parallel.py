@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import importlib
 import threading
 import time
 from collections import OrderedDict
@@ -107,12 +108,25 @@ _POOLS: Dict[int, ProcessPoolExecutor] = {}
 _POOL_LOCK = threading.RLock()
 
 
+#: Modules the worker path (:func:`_run_chunk`) would otherwise import on
+#: first use.  ``fork`` copies every module-import lock as it stands, so
+#: a worker forked while another engine thread is part-way through one of
+#: these imports (a single-run request's first ``np.random.default_rng``
+#: importing ``numpy.random``, say) blocks on that lock forever.
+#: :func:`_get_pool` imports them before any pool -- the first, or one
+#: rebuilt after a break -- can fork, so workers import nothing.
+_WORKER_IMPORTS = ("numpy.random", ".shm", "..faults.inject")
+
+
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
     # The registry is parent-side state reached through the engine's
     # *thread* pool (no fork boundary); access is serialized by the lock.
     with _POOL_LOCK:
         pool = _POOLS.get(jobs)  # repro: noqa[L8]
         if pool is None:
+            for name in _WORKER_IMPORTS:
+                # Waits out an import of ``name`` running in another thread.
+                importlib.import_module(name, __package__)
             pool = ProcessPoolExecutor(max_workers=jobs)
             _POOLS[jobs] = pool  # repro: noqa[L8]
         return pool
